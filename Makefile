@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build test race race-serve chaos-smoke bench bench-exec bench-store bench-store-smoke bench-pick bench-pick-smoke bench-cluster bench-cluster-smoke bench-ingest bench-ingest-smoke serve-bench vet fmt-check lint verify
+.PHONY: build test test-procs race race-serve chaos-smoke bench bench-exec bench-store bench-store-smoke bench-pick bench-pick-smoke bench-cluster bench-cluster-smoke bench-ingest bench-ingest-smoke serve-bench vet fmt-check lint verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The suite at one scheduler thread and at four: timing assumptions that
+# only hold when workers cannot overlap (a deadline that fires before a
+# second partition is handed out) fail at 4, whatever the runner's core
+# count. -count=1 so the second pass is not served from the test cache.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -count=1 ./...
 
 # Race pass over the parallel execution surface: the scan engine, every
 # layer that fans out onto it, and the concurrent serving layer.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,105 @@ func TestMedianVectorEvenCount(t *testing.T) {
 	want := []float64{4, 25}
 	if !reflect.DeepEqual(med, want) {
 		t.Fatalf("median = %v, want %v", med, want)
+	}
+}
+
+// medianBySort is the sort-based coordinate median medianVector replaced.
+func medianBySort(points [][]float64, members []int, j int) float64 {
+	c := make([]float64, len(members))
+	for i, m := range members {
+		c[i] = points[m][j]
+	}
+	slices.Sort(c)
+	n := len(c)
+	if n%2 == 1 {
+		return c[n/2]
+	}
+	return (c[n/2-1] + c[n/2]) / 2
+}
+
+// TestMedianVectorSelectionMatchesSort: the selection median equals the
+// sort-based median on odd and even counts, heavy duplicates, signed zeros
+// and NaN columns. Equal means the same bits, except that a zero median may
+// carry either sign: ±0 compare equal, so neither the sort nor the
+// selection fixes which zero lands in the middle.
+func TestMedianVectorSelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pools := [][]float64{
+		{0, math.Copysign(0, -1)},
+		{0, math.Copysign(0, -1), 1, -1},
+		{1, 2, 2, 3, 3, 3},
+		{math.NaN(), 1, 2, 0},
+	}
+	const dim = 6
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(120)
+		if trial%2 == 0 && n%2 == 1 {
+			n++
+		}
+		points := make([][]float64, n)
+		for i := range points {
+			row := make([]float64, dim)
+			for j := range row {
+				switch j {
+				case 0: // continuous
+					row[j] = rng.NormFloat64()
+				case 1: // few distinct values, sorted input
+					row[j] = float64(i * 3 / n)
+				default:
+					pool := pools[j-2]
+					row[j] = pool[rng.Intn(len(pool))]
+				}
+			}
+			points[i] = row
+		}
+		members := rng.Perm(n)[:1+rng.Intn(n)]
+		med := make([]float64, dim)
+		medianVector(points, members, med, make([]float64, len(members)))
+		for j := range med {
+			got, want := med[j], medianBySort(points, members, j)
+			same := math.Float64bits(got) == math.Float64bits(want) ||
+				(got == 0 && want == 0) ||
+				(math.IsNaN(got) && math.IsNaN(want))
+			if !same {
+				t.Fatalf("trial %d: %d members, coordinate %d: selection median %v != sort median %v", trial, len(members), j, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectKthOrdersAroundK: after selection, index k holds the sorted
+// value and every value left (right) of it is no larger (no smaller), on
+// inputs shaped to defeat a naive pivot.
+func TestSelectKthOrdersAroundK(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(300)
+		c := make([]float64, n)
+		for i := range c {
+			switch trial % 4 {
+			case 0:
+				c[i] = rng.Float64()
+			case 1:
+				c[i] = float64(i) // ascending
+			case 2:
+				c[i] = float64(n - i) // descending
+			default:
+				c[i] = float64(rng.Intn(3)) // duplicates
+			}
+		}
+		sorted := slices.Clone(c)
+		slices.Sort(sorted)
+		k := rng.Intn(n)
+		selectKth(c, k)
+		if c[k] != sorted[k] {
+			t.Fatalf("trial %d: c[%d] = %v, sorted %v", trial, k, c[k], sorted[k])
+		}
+		for i, x := range c {
+			if (i < k && x > c[k]) || (i > k && x < c[k]) {
+				t.Fatalf("trial %d: c[%d] = %v on the wrong side of c[%d] = %v", trial, i, x, k, c[k])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -13,21 +14,97 @@ type Exemplar struct {
 }
 
 // medianVector computes the coordinate-wise median of the given points into
-// med, using col (len ≥ len(members)) as sorting scratch.
+// med, using col (len ≥ len(members)) as selection scratch. Each
+// coordinate's median is found by selection rather than a full sort: the
+// middle order statistics are the values a sort would place in the middle,
+// so the median is the same number. (Equal values are interchangeable, so
+// the one exception is a zero median's sign, which no sort pins down
+// either — pdqsort is not stable — and which no squared distance to the
+// median can observe.) A coordinate holding NaN is sorted instead, keeping
+// the order slices.Sort gives NaN, and with it the order statistic.
 func medianVector(points [][]float64, members []int, med, col []float64) {
+	n := len(members)
+	k := n / 2
 	for j := range med {
-		c := col[:len(members)]
+		c := col[:n]
+		nan := false
 		for i, m := range members {
-			c[i] = points[m][j]
+			x := points[m][j]
+			c[i] = x
+			nan = nan || x != x
 		}
-		slices.Sort(c)
-		n := len(c)
-		if n%2 == 1 {
-			med[j] = c[n/2]
+		if nan {
+			slices.Sort(c)
 		} else {
-			med[j] = (c[n/2-1] + c[n/2]) / 2
+			selectKth(c, k)
+			if n%2 == 0 {
+				// c[:k] holds the k smallest values: move their max, the
+				// lower middle, to where a sort would put it.
+				top := 0
+				for i := 1; i < k; i++ {
+					if c[i] > c[top] {
+						top = i
+					}
+				}
+				c[top], c[k-1] = c[k-1], c[top]
+			}
+		}
+		if n%2 == 1 {
+			med[j] = c[k]
+		} else {
+			med[j] = (c[k-1] + c[k]) / 2
 		}
 	}
+}
+
+// selectKth reorders c, which must hold no NaN, so that c[k] is the value
+// an ascending sort would put at index k, every value of c[:k] is ≤ c[k]
+// and every value of c[k+1:] is ≥ c[k]. It is quickselect with a
+// median-of-three pivot; small ranges, and ranges that keep failing to
+// shrink (bounding the worst case at O(n log n)), are sorted instead.
+func selectKth(c []float64, k int) {
+	lo, hi := 0, len(c)-1
+	for budget := 2 * bits.Len(uint(len(c))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			break
+		}
+		mid := lo + (hi-lo)/2
+		if c[mid] < c[lo] {
+			c[mid], c[lo] = c[lo], c[mid]
+		}
+		if c[hi] < c[lo] {
+			c[hi], c[lo] = c[lo], c[hi]
+		}
+		if c[hi] < c[mid] {
+			c[hi], c[mid] = c[mid], c[hi]
+		}
+		pivot := c[mid]
+		// Hoare partition: afterwards c[lo:i] ≤ pivot ≤ c[j+1:hi+1], and
+		// anything strictly between j and i equals the pivot.
+		i, j := lo, hi
+		for i <= j {
+			for c[i] < pivot {
+				i++
+			}
+			for pivot < c[j] {
+				j--
+			}
+			if i <= j {
+				c[i], c[j] = c[j], c[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.Sort(c[lo : hi+1])
 }
 
 // MedianExemplars picks, for each cluster, the member closest to the

@@ -15,7 +15,9 @@ import (
 // policy. Cancellation granularity: the pick phase checks the context at
 // entry (picking is CPU-bound and short — sub-millisecond at serving
 // budgets); the scan phase observes it between partitions through
-// exec.MapErrWithCtx. Degradation policy: quarantined partitions (blocks
+// exec.MapErrWithCtx, and once more after the scan returns, so a scan whose
+// last partitions finished past the deadline fails instead of answering
+// late. Degradation policy: quarantined partitions (blocks
 // whose bytes failed CRC/decode twice — see store.ErrQuarantined) are
 // dropped from the selection and the remainder is served with an explicit
 // Degraded flag. Every other error fails the request: transient I/O is
@@ -62,6 +64,12 @@ func (s *System) RunSelectionCtx(ctx context.Context, c *query.Compiled, sel []q
 	for {
 		ans, err := c.EstimateCtx(ctx, s.Source, cur)
 		if err == nil {
+			// Workers may each have taken a partition before the deadline
+			// fired and finished after it: a scan that completed late is
+			// still a request past its deadline, never a success.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			vals := c.FinalValues(ans)
 			labels := make(map[string]string, len(vals))
 			for g := range vals { //lint:mapiter-ok independent per-key map-to-map transform; order-free
@@ -132,6 +140,9 @@ func (s *System) RunExactCtx(ctx context.Context, q *query.Query) (*Result, erro
 			all[i] = query.WeightedPartition{Part: i, Weight: 1}
 		}
 		total, err = c.EstimateCtx(ctx, exactScanSource(s.Source), all)
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err != nil {
 			return nil, err
 		}

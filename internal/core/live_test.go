@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"ps3/internal/dataset"
+	"ps3/internal/exec"
 	"ps3/internal/query"
 	"ps3/internal/stats"
 	"ps3/internal/table"
@@ -111,4 +113,32 @@ func trainedOver(t *testing.T, tbl *table.Table, ds *dataset.Dataset) (*System, 
 		t.Fatal(err)
 	}
 	return sys, sys.Stats, gen.SampleN(6)
+}
+
+// TestPickBatchMatchesReferenceAllDatasets: on every paper dataset's
+// feature space (widths from tens to hundreds of slots, different
+// groupable and predicate columns), the served pick path selects exactly
+// what the reference pipeline selects.
+func TestPickBatchMatchesReferenceAllDatasets(t *testing.T) {
+	for _, name := range dataset.Names() {
+		ds, err := dataset.ByName(name, dataset.Config{Rows: 12000, Parts: 60, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, ts, test := trainedOver(t, ds.Table, ds)
+		for qi, q := range test {
+			for _, n := range []int{3, 6, 12} {
+				ref := sys.Picker.PickReference(q, ts.Features(q), n, rand.New(rand.NewSource(int64(qi*19+n))))
+				got := sys.Picker.PickBatch(q, n, rand.New(rand.NewSource(int64(qi*19+n))), exec.Options{Parallelism: 2})
+				if len(got) != len(ref) {
+					t.Fatalf("%s query %d budget %d: PickBatch selected %d partitions, reference %d", name, qi, n, len(got), len(ref))
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s query %d budget %d: selection %d is %+v, reference %+v", name, qi, n, i, got[i], ref[i])
+					}
+				}
+			}
+		}
+	}
 }

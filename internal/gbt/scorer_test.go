@@ -36,7 +36,7 @@ func TestBatchScorerMatchesPredictBatch(t *testing.T) {
 	m.PredictBatch(want, rows)
 
 	var s BatchScorer
-	s.Bind(m, func(j int) (float64, float64, bool) {
+	s.Bind(m, identityCols(m), func(j int) (float64, float64, bool) {
 		if v, ok := fixedVal[j]; ok {
 			return v, v, true
 		}
@@ -54,13 +54,102 @@ func TestBatchScorerMatchesPredictBatch(t *testing.T) {
 	}
 
 	// Re-binding with no knowledge at all must also match.
-	s.Bind(m, func(int) (float64, float64, bool) { return 0, 0, false })
+	s.Bind(m, identityCols(m), func(int) (float64, float64, bool) { return 0, 0, false })
 	s.Predict(got, rows)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("unspecialized row %d: scorer %v != PredictBatch %v", i, got[i], want[i])
 		}
 	}
+}
+
+// identityCols is the feature→column map of full-width rows.
+func identityCols(m *Model) []int32 {
+	col := make([]int32, m.flat.dim)
+	for j := range col {
+		col[j] = int32(j)
+	}
+	return col
+}
+
+// compactRows fixes the features in fixed to their values in every row and
+// returns the rows with those features dropped, plus the feature→column
+// map that reads them.
+func compactRows(rows [][]float64, dim int, fixed map[int]float64) ([][]float64, []int32) {
+	col := make([]int32, dim)
+	w := int32(0)
+	for j := range col {
+		if _, ok := fixed[j]; ok {
+			col[j] = -1
+			continue
+		}
+		col[j] = w
+		w++
+	}
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		for j, v := range fixed {
+			row[j] = v
+		}
+		c := make([]float64, 0, w)
+		for j, x := range row {
+			if col[j] >= 0 {
+				c = append(c, x)
+			}
+		}
+		out[i] = c
+	}
+	return out, col
+}
+
+// TestBatchScorerCompactRows: rows that store only the features a map
+// assigns a column, the fixed ones left out, must score bit-identically to
+// PredictBatch on the full rows — through the batch tables and through the
+// walking fallback of an ensemble too leafy for them.
+func TestBatchScorerCompactRows(t *testing.T) {
+	fixed := map[int]float64{0: 0, 2: 1.5}
+	rangeOf := func(j int) (float64, float64, bool) {
+		if v, ok := fixed[j]; ok {
+			return v, v, true
+		}
+		return 0, 0, false
+	}
+	check := func(name string, m *Model, xs [][]float64, dim int) {
+		t.Helper()
+		compact, col := compactRows(xs, dim, fixed)
+		want := make([]float64, len(xs))
+		m.PredictBatch(want, xs)
+		var s BatchScorer
+		s.Bind(m, col, rangeOf)
+		got := make([]float64, len(xs))
+		s.Predict(got, compact)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s row %d: compact scorer %v != PredictBatch %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	m, xs := trainRandomModel(t, 36, 300, 5)
+	if !m.flat.qsOK {
+		t.Fatal("fixture lost its batch tables")
+	}
+	check("batch tables", m, xs, 5)
+
+	rng := rand.New(rand.NewSource(37))
+	deep := make([][]float64, 3000)
+	ys := make([]float64, len(deep))
+	for i := range deep {
+		deep[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		ys[i] = deep[i][0]*deep[i][1] + math.Sin(deep[i][2]*3) + deep[i][3]
+	}
+	dm, err := Train(deep, ys, Params{Trees: 6, MaxDepth: 8, MinLeaf: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dm.flat.qsOK {
+		t.Skip("trees stayed small enough for batch tables; fallback not exercised")
+	}
+	check("walking fallback", dm, deep[:200], 4)
 }
 
 // TestBatchScorerInfiniteRanges: ±Inf range endpoints must behave as "no
@@ -70,7 +159,7 @@ func TestBatchScorerInfiniteRanges(t *testing.T) {
 	want := make([]float64, len(xs))
 	m.PredictBatch(want, xs)
 	var s BatchScorer
-	s.Bind(m, func(j int) (float64, float64, bool) {
+	s.Bind(m, identityCols(m), func(j int) (float64, float64, bool) {
 		return math.Inf(-1), math.Inf(1), true
 	})
 	got := make([]float64, len(xs))
@@ -102,7 +191,7 @@ func TestBatchScorerFallback(t *testing.T) {
 		t.Skip("trees stayed small enough for batch tables; fallback not exercised")
 	}
 	var s BatchScorer
-	s.Bind(m, func(int) (float64, float64, bool) { return 0, 0, false })
+	s.Bind(m, identityCols(m), func(int) (float64, float64, bool) { return 0, 0, false })
 	got := make([]float64, 50)
 	s.Predict(got, xs[:50])
 	for i := range got {
@@ -113,16 +202,23 @@ func TestBatchScorerFallback(t *testing.T) {
 }
 
 // TestBatchScorerZeroAllocsAfterBind: repeated Predict calls on a bound
-// scorer allocate nothing.
+// scorer allocate nothing, on full-width rows and on compact rows read
+// through a feature→column map.
 func TestBatchScorerZeroAllocsAfterBind(t *testing.T) {
 	m, xs := trainRandomModel(t, 35, 256, 6)
 	var s BatchScorer
-	s.Bind(m, func(j int) (float64, float64, bool) { return 0, 0, j == 3 })
+	rangeOf := func(j int) (float64, float64, bool) { return 0, 0, j == 3 }
+	s.Bind(m, identityCols(m), rangeOf)
 	for i := range xs {
 		xs[i][3] = 0
 	}
 	dst := make([]float64, len(xs))
 	if allocs := testing.AllocsPerRun(20, func() { s.Predict(dst, xs) }); allocs != 0 {
 		t.Fatalf("BatchScorer.Predict allocates %.0f objects per run, want 0", allocs)
+	}
+	compact, col := compactRows(xs, 6, map[int]float64{3: 0})
+	s.Bind(m, col, rangeOf)
+	if allocs := testing.AllocsPerRun(20, func() { s.Predict(dst, compact) }); allocs != 0 {
+		t.Fatalf("BatchScorer.Predict on compact rows allocates %.0f objects per run, want 0", allocs)
 	}
 }

@@ -49,50 +49,54 @@ const (
 	evalBatch
 )
 
-// pickScratch is the reusable per-Pick working set: the row-major feature
-// matrix, per-row slice views into it, and the funnel's prediction/gather
-// buffers. Scratches are pooled package-wide so sustained serving reaches a
-// steady state of zero per-pick matrix allocations regardless of how many
-// Picker values (or copies — the experiment harness copies pickers to apply
-// lesion flags) are live.
+// pickScratch is the reusable per-Pick working set: the query's feature
+// plan, the row-major N×L live-slot feature matrix it fills, per-row slice
+// views into it, and the funnel's prediction/gather buffers. Scratches are
+// pooled package-wide so sustained serving reaches a steady state of zero
+// per-pick matrix allocations regardless of how many Picker values (or
+// copies — the experiment harness copies pickers to apply lesion flags)
+// are live.
 type pickScratch struct {
+	// plan is the query's feature plan: row column c holds feature slot
+	// plan.LiveSlots()[c]. Set per pick, cleared on Put.
+	plan   *stats.FeaturePlan
 	x      []float64
 	rows   [][]float64
 	preds  []float64
 	gather [][]float64
-	// Cluster-preparation scratch: the per-pick excluded-slot mask, the
-	// active-slot list of the group being clustered, and the compact
-	// normalized matrix handed to the clustering algorithm.
-	excluded []bool
+	// Cluster-preparation scratch: the row columns clustering may use
+	// (live slots whose kind feature selection kept), the active subset of
+	// the group being clustered, and the compact normalized matrix handed
+	// to the clustering algorithm.
+	cand     []int32
 	active   []int32
 	normBuf  []float64
 	normRows [][]float64
-	// Funnel scratch: the per-pick masked-slot lookup and one specialized
-	// scorer per funnel stage (masked features hold the same zero in every
-	// row, so their split conditions fold into the scorers at bind time).
-	masked  []bool
+	// Funnel scratch: one specialized scorer per funnel stage (masked
+	// features hold the same zero in every row, so their split conditions
+	// fold into the scorers at bind time and rows never store them).
 	scorers []gbt.BatchScorer
 }
 
 var pickScratchPool sync.Pool
 
-// getPickScratch returns a scratch sized for an n-partition, m-feature pick,
-// growing the pooled buffers only when a larger table is seen.
-func getPickScratch(n, m int) *pickScratch {
+// getPickScratch returns a scratch sized for an n-partition pick of width-l
+// rows, growing the pooled buffers only when a larger matrix is needed.
+func getPickScratch(n, l int) *pickScratch {
 	sc, _ := pickScratchPool.Get().(*pickScratch)
 	if sc == nil {
 		sc = &pickScratch{}
 	}
-	if cap(sc.x) < n*m {
-		sc.x = make([]float64, n*m)
+	if cap(sc.x) < n*l {
+		sc.x = make([]float64, n*l)
 	}
-	sc.x = sc.x[:n*m]
+	sc.x = sc.x[:n*l]
 	if cap(sc.rows) < n {
 		sc.rows = make([][]float64, n)
 	}
 	sc.rows = sc.rows[:n]
 	for i := 0; i < n; i++ {
-		sc.rows[i] = sc.x[i*m : (i+1)*m : (i+1)*m]
+		sc.rows[i] = sc.x[i*l : (i+1)*l : (i+1)*l]
 	}
 	if cap(sc.preds) < n {
 		sc.preds = make([]float64, n)
@@ -102,18 +106,13 @@ func getPickScratch(n, m int) *pickScratch {
 		sc.gather = make([][]float64, n)
 	}
 	sc.gather = sc.gather[:n]
-	if cap(sc.excluded) < m {
-		sc.excluded = make([]bool, m)
-	}
-	sc.excluded = sc.excluded[:m]
-	if cap(sc.masked) < m {
-		sc.masked = make([]bool, m)
-	}
-	sc.masked = sc.masked[:m]
 	return sc
 }
 
-func putPickScratch(sc *pickScratch) { pickScratchPool.Put(sc) }
+func putPickScratch(sc *pickScratch) {
+	sc.plan = nil
+	pickScratchPool.Put(sc)
+}
 
 // Pick runs Algorithm 1: outliers → importance funnel → α-decayed budget
 // allocation → per-group clustering selection. features is the raw N×M
@@ -147,11 +146,12 @@ func (p *Picker) PickReference(q *query.Query, features [][]float64, n int, rng 
 }
 
 // PickBatch is the batched fast path of Algorithm 1: it featurizes every
-// partition into a pooled row-major scratch matrix (in parallel over
-// partition blocks on the shared exec pool, bounded by eo.Parallelism) and
-// runs the importance funnel as whole-group PredictBatch sweeps over the
-// compiled flat ensembles. Zero allocations per partition in the steady
-// state. The selection is bit-identical to
+// partition into a pooled row-major scratch matrix holding only the query's
+// live feature slots (in parallel over partition blocks on the shared exec
+// pool, bounded by eo.Parallelism) and runs the importance funnel as
+// whole-group sweeps of per-query scorers over the compiled flat ensembles.
+// Zero allocations per partition in the steady state. The selection is
+// bit-identical to
 // Pick(q, p.TS.Features(q), n, rng) — and to PickReference — at every
 // parallelism setting: features are filled into disjoint rows indexed by
 // partition, and the selection logic consumes them in partition order.
@@ -185,18 +185,17 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 		return nil, st
 	}
 	plan := p.TS.NewFeaturePlan(q)
-	m := plan.Dim()
-	sc := getPickScratch(total, m)
+	l := plan.Width()
+	sc := getPickScratch(total, l)
 	defer putPickScratch(sc)
-	// Slot masks (scratch is pooled across pickers, so both are rebuilt per
-	// pick): the feature-selection exclusion set and the query's masked
-	// columns.
-	for j, meta := range p.TS.Space.Meta {
-		sc.excluded[j] = p.Excluded[meta.Kind]
-		sc.masked[j] = false
-	}
-	for _, j := range plan.MaskSlots() {
-		sc.masked[j] = true
+	sc.plan = plan
+	// Clustering candidates: live columns whose kind feature selection
+	// kept (scratch is pooled across pickers, so this is rebuilt per pick).
+	sc.cand = sc.cand[:0]
+	for c, j := range plan.LiveSlots() {
+		if !p.Excluded[p.TS.Space.Meta[j].Kind] {
+			sc.cand = append(sc.cand, int32(c))
+		}
 	}
 	blocks := (total + pickFillBlock - 1) / pickFillBlock
 	exec.ForEach(blocks, eo, func(b int) {
@@ -206,7 +205,7 @@ func (p *Picker) PickBatchWithStats(q *query.Query, n int, rng *rand.Rand, eo ex
 			hi = total
 		}
 		for i := lo; i < hi; i++ {
-			plan.FillRow(sc.x[i*m:(i+1)*m], i)
+			plan.FillRow(sc.x[i*l:(i+1)*l], i)
 		}
 	})
 	st.Featurize = time.Since(start)
@@ -269,7 +268,9 @@ func (p *Picker) pick(q *query.Query, features [][]float64, n int, rng *rand.Ran
 
 	// 2. Predicate filter: keep only partitions that may contain matching
 	// rows (selectivity_upper > 0; perfect recall per §3.2). Filtered-out
-	// partitions contribute nothing and are skipped entirely.
+	// partitions contribute nothing and are skipped entirely. Selectivity
+	// slots keep their indexes in live-slot rows, so upSlot reads both row
+	// layouts.
 	upSlot, _, _, _ := p.TS.Space.SelectivitySlots()
 	var candidates []int
 	for _, i := range inliers {
@@ -424,18 +425,21 @@ func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev fun
 	}
 	groups := [][]int{candidates}
 	var rangeOf func(j int) (float64, float64, bool)
+	var slotCol []int32
 	if ev == evalBatch && sc != nil {
 		if cap(sc.scorers) < len(p.Regs) {
 			sc.scorers = make([]gbt.BatchScorer, len(p.Regs))
 		}
 		// Per-feature value guarantees for scorer binding: masked slots are
-		// exactly zero in every row, selectivity slots lie in [0, 1] by
-		// construction, and every other slot equals its partition's base
-		// feature, bounded by the store's cached per-slot ranges.
+		// exactly zero in every row (rows do not store them), selectivity
+		// slots lie in [0, 1] by construction, and every other slot equals
+		// its partition's base feature, bounded by the store's cached
+		// per-slot ranges.
 		baseLo, baseHi, baseOK := p.TS.BaseRanges()
 		upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
+		slotCol = sc.plan.SlotCols()
 		rangeOf = func(j int) (float64, float64, bool) {
-			if sc.masked[j] {
+			if slotCol[j] < 0 {
 				return 0, 0, true
 			}
 			if j == upper || j == indep || j == minS || j == maxS {
@@ -454,7 +458,7 @@ func (p *Picker) importanceGroups(features [][]float64, candidates []int, ev fun
 			// every range-decidable condition at bind time.
 			sc.scorers = sc.scorers[:cap(sc.scorers)]
 			scorer := &sc.scorers[stage]
-			scorer.Bind(reg, rangeOf)
+			scorer.Bind(reg, slotCol, rangeOf)
 			gather := sc.gather[:len(last)]
 			for k, i := range last {
 				gather[k] = features[i]
@@ -637,28 +641,27 @@ func (p *Picker) clusterSelect(features [][]float64, group []int, ni int, exclud
 	return out
 }
 
-// clusterSelectFast is clusterSelect fused into one scratch-backed pass. It
-// exploits two invariants of rows produced by a FeaturePlan: masked slots
-// are exactly zero in every row (so they can never be active), and every
-// non-selectivity slot equals the partition's base feature (so its
-// normalized value is a lookup in the precomputed TableStats.NormBase
-// matrix instead of a transform + division). The compact matrix it hands to
-// the clustering algorithm is bit-identical to the reference pipeline's:
-// active-slot detection on raw values matches detection on normalized
-// values because the transform is zero exactly at zero — and in the
-// underflow corner where a normalized value rounds to zero while its raw
-// value is not, the cached NormBase entry rounds identically, contributing
-// an all-zero column that no distance or median can observe.
+// clusterSelectFast is clusterSelect fused into one scratch-backed pass
+// over live-slot rows. It exploits two invariants of rows produced by a
+// FeaturePlan: slots the query masks are exactly zero in every row (rows do
+// not store them, and they can never be active), and every non-selectivity
+// slot equals the partition's base feature (so its normalized value is a
+// lookup in the precomputed TableStats.NormBase matrix, gathered through
+// the plan's column→slot map, instead of a transform + division). The
+// compact matrix it hands to the clustering algorithm is bit-identical to
+// the reference pipeline's: candidate columns ascend by slot, as the
+// reference's full-width scan does, and active-slot detection on raw
+// values matches detection on normalized values because the transform is
+// zero exactly at zero — and in the underflow corner where a normalized
+// value rounds to zero while its raw value is not, the cached NormBase
+// entry rounds identically, contributing an all-zero column that no
+// distance or median can observe.
 func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rng *rand.Rand, sc *pickScratch, eo exec.Options, ks *cluster.KMeansStats) []query.WeightedPartition {
-	m := p.TS.Space.Dim()
 	active := sc.active[:0]
-	for j := 0; j < m; j++ {
-		if sc.excluded[j] {
-			continue
-		}
+	for _, c := range sc.cand {
 		for _, g := range group {
-			if features[g][j] != 0 {
-				active = append(active, int32(j))
+			if features[g][c] != 0 {
+				active = append(active, c)
 				break
 			}
 		}
@@ -673,15 +676,17 @@ func (p *Picker) clusterSelectFast(features [][]float64, group []int, ni int, rn
 		sc.normRows = make([][]float64, len(group))
 	}
 	rows := sc.normRows[:len(group)]
+	m := p.TS.Space.Dim()
 	nb := p.TS.NormBase()
+	live := sc.plan.LiveSlots()
 	upper, indep, minS, maxS := p.TS.Space.SelectivitySlots()
 	for k, g := range group {
 		row := buf[k*na : (k+1)*na : (k+1)*na]
 		raw := features[g]
 		base := nb[g*m : (g+1)*m]
-		for a, j := range active {
-			if int(j) == upper || int(j) == indep || int(j) == minS || int(j) == maxS {
-				row[a] = p.TS.Space.NormalizeValue(int(j), raw[j])
+		for a, c := range active {
+			if j := int(live[c]); j == upper || j == indep || j == minS || j == maxS {
+				row[a] = p.TS.Space.NormalizeValue(j, raw[c])
 			} else {
 				row[a] = base[j]
 			}

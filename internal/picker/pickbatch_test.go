@@ -79,6 +79,88 @@ func TestPickBatchMatchesReferenceLesions(t *testing.T) {
 	}
 }
 
+// TestPickBatchMatchesReferenceExtendedStats: the ingest shape. A picker
+// trained on a base build and rebound to stats grown past 500 partitions by
+// a chain of ExtendedWith calls — whose pick-time caches are carried
+// forward rather than rebuilt, and were first built mid-chain by a pick, as
+// serving builds them — must still pick bit-identically to the reference.
+func TestPickBatchMatchesReferenceExtendedStats(t *testing.T) {
+	const baseParts, totalParts, chunk = 100, 520, 35
+	tbl := benchTable(t, totalParts, 12)
+	base := &table.Table{Schema: tbl.Schema, Dict: tbl.Dict, Parts: tbl.Parts[:baseParts]}
+	ts, err := stats.Build(base, stats.Options{GroupableCols: []string{"g", "h"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exs := benchExamples(t, base, ts)
+	p, err := Train(ts, exs, Config{Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := ts
+	for lo := baseParts; lo < totalParts; lo += chunk {
+		hi := min(lo+chunk, totalParts)
+		if ext, err = ext.ExtendedWith(nil, tbl.Parts[lo:hi], 1); err != nil {
+			t.Fatal(err)
+		}
+		if lo == baseParts+2*chunk {
+			// Serving picks against this snapshot, building its caches.
+			rp := *p
+			rp.TS = ext
+			rp.PickBatch(exs[0].Query, 10, rand.New(rand.NewSource(1)), exec.Options{Parallelism: 1})
+		}
+	}
+	rebound := *p
+	rebound.TS = ext
+	clustered := 0
+	for qi, ex := range exs {
+		feats := ext.Features(ex.Query)
+		for _, n := range []int{5, 26, 52} {
+			ref := rebound.PickReference(ex.Query, feats, n, rand.New(rand.NewSource(int64(qi*13+n))))
+			got, st := rebound.PickBatchWithStats(ex.Query, n, rand.New(rand.NewSource(int64(qi*13+n))), exec.Options{Parallelism: 2})
+			if !selectionsEqual(ref, got) {
+				t.Fatalf("query %d budget %d on %d extended partitions: PickBatch diverges from reference\nref: %v\ngot: %v",
+					qi, n, len(ext.Parts), ref, got)
+			}
+			if st.KMeans.PossibleDists > 0 {
+				clustered++
+			}
+		}
+	}
+	if clustered == 0 {
+		t.Fatal("no pick reached the clustering stage")
+	}
+}
+
+// TestPickBatchMatchesReferenceExcludedKinds: feature-selection exclusions
+// drop live slots from clustering. With a non-empty exclusion set that
+// covers measure, distinct-value and bitmap kinds, PickBatch must still
+// match the reference at Parallelism 1, 3 and GOMAXPROCS.
+func TestPickBatchMatchesReferenceExcludedKinds(t *testing.T) {
+	env := newBenchEnv(t, 64, 30)
+	p := *env.p
+	p.Excluded = map[stats.Kind]bool{stats.KMean: true, stats.KStd: true, stats.KNumDV: true, stats.KBitmap: true}
+	clustered := 0
+	for qi, ex := range env.exs {
+		for _, n := range []int{3, 7, 13} {
+			ref := p.PickReference(ex.Query, ex.Features, n, rand.New(rand.NewSource(int64(qi*17+n))))
+			for _, par := range []int{1, 3, 0} {
+				got, st := p.PickBatchWithStats(ex.Query, n, rand.New(rand.NewSource(int64(qi*17+n))), exec.Options{Parallelism: par})
+				if !selectionsEqual(ref, got) {
+					t.Fatalf("query %d budget %d parallelism %d: PickBatch with exclusions diverges from reference\nref: %v\ngot: %v",
+						qi, n, par, ref, got)
+				}
+				if st.KMeans.PossibleDists > 0 {
+					clustered++
+				}
+			}
+		}
+	}
+	if clustered == 0 {
+		t.Fatal("no pick reached the clustering stage")
+	}
+}
+
 // TestPickBatchConcurrent hammers one picker from many goroutines (each
 // query picked concurrently with itself and others) and checks every result
 // against the sequential reference; run under -race this also proves the
@@ -192,6 +274,22 @@ func TestPickBatchKMeansSkipsDistances(t *testing.T) {
 // importance, and a trained picker.
 func newBenchEnv(b testing.TB, parts, rowsPer int) *testEnv {
 	b.Helper()
+	tbl := benchTable(b, parts, rowsPer)
+	ts, err := stats.Build(tbl, stats.Options{GroupableCols: []string{"g", "h"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	exs := benchExamples(b, tbl, ts)
+	p, err := Train(ts, exs, Config{Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &testEnv{tbl: tbl, ts: ts, p: p, exs: exs}
+}
+
+// benchTable generates newBenchEnv's table.
+func benchTable(b testing.TB, parts, rowsPer int) *table.Table {
+	b.Helper()
 	cols := []table.Column{
 		{Name: "g", Kind: table.Categorical},
 		{Name: "h", Kind: table.Categorical},
@@ -219,11 +317,13 @@ func newBenchEnv(b testing.TB, parts, rowsPer int) *testEnv {
 			b.Fatal(err)
 		}
 	}
-	tbl := bld.Finish()
-	ts, err := stats.Build(tbl, stats.Options{GroupableCols: []string{"g", "h"}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	return bld.Finish()
+}
+
+// benchExamples samples newBenchEnv's 16 workload queries over tbl and
+// labels them against ts.
+func benchExamples(b testing.TB, tbl *table.Table, ts *stats.TableStats) []Example {
+	b.Helper()
 	gen, err := query.NewGenerator(query.Workload{
 		GroupableCols: []string{"g", "h"},
 		PredicateCols: []string{"c0", "c1", "c2", "c3", "g"},
@@ -248,11 +348,7 @@ func newBenchEnv(b testing.TB, parts, rowsPer int) *testEnv {
 			TruthVals: c.FinalValues(totalAns),
 		})
 	}
-	p, err := Train(ts, exs, Config{Seed: 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &testEnv{tbl: tbl, ts: ts, p: p, exs: exs}
+	return exs
 }
 
 // BenchmarkPick is the acceptance benchmark of the batched pick path,

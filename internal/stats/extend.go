@@ -34,8 +34,12 @@ import (
 //
 // ts itself is never mutated, and the result shares no mutable state with
 // it, so serving reads against ts may proceed concurrently with the
-// extension. Lazily built caches (normalized base, per-slot ranges) are
-// not inherited; each snapshot rebuilds its own on first use.
+// extension. The result's pick-time caches (normalized base, per-slot
+// ranges) are built here, on the caller's goroutine, not on the first
+// pick: when ts has built its caches they are carried forward and only the
+// new rows are normalized and range-merged; otherwise they are built from
+// scratch. Either way they are bit-identical to caches rebuilt from scratch
+// over the result's rows.
 func (ts *TableStats) ExtendedWith(dict *table.Dict, parts []*table.Partition, parallelism int) (*TableStats, error) {
 	if dict == nil {
 		dict = ts.Dict
@@ -88,5 +92,6 @@ func (ts *TableStats) ExtendedWith(dict *table.Dict, parts []*table.Partition, p
 		out.Parts = append(out.Parts, ps)
 		out.fillBaseRow(out.base[(old+i)*m:(old+i+1)*m], ps)
 	}
+	out.extendCaches(ts, old)
 	return out, nil
 }

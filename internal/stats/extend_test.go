@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -137,5 +138,92 @@ func TestExtendedWithRejectsMisnumberedPartition(t *testing.T) {
 	bad.ID = 99
 	if _, err := ts.ExtendedWith(nil, []*table.Partition{&bad}, 1); err == nil {
 		t.Fatal("partition with non-positional ID must be rejected")
+	}
+}
+
+// rebuiltCaches computes ts's normalized base and per-slot ranges from
+// scratch over the same rows, on a copy whose caches start empty.
+func rebuiltCaches(ts *TableStats) (nb, lo, hi []float64, ok []bool) {
+	fresh := &TableStats{Schema: ts.Schema, Opts: ts.Opts, Parts: ts.Parts, GlobalHH: ts.GlobalHH, Space: ts.Space, base: ts.base}
+	lo, hi, ok = fresh.BaseRanges()
+	return fresh.NormBase(), lo, hi, ok
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExtendedWithInheritsCaches: along a chain of extensions, each result
+// holds its normalized base and per-slot ranges as soon as ExtendedWith
+// returns, bit-identical to caches rebuilt from scratch over its rows —
+// whether or not the chain's first parent had built its own. A NaN base
+// value, in an inherited row or in a new one, keeps its slot's range
+// unknown.
+func TestExtendedWithInheritsCaches(t *testing.T) {
+	for _, warm := range []bool{true, false} {
+		name := "parent never built caches"
+		if warm {
+			name = "parent built caches"
+		}
+		t.Run(name, func(t *testing.T) {
+			ts, rest, _ := extendFixture(t, 6)
+			m := ts.Space.Dim()
+			train := make([][]float64, len(ts.Parts))
+			for i := range train {
+				train[i] = ts.base[i*m : (i+1)*m]
+			}
+			ts.Space.Fit(train)
+
+			// A NaN in an inherited row of the first parent, and one in a
+			// new row of the second extension (sketches never produce NaN
+			// from finite data, so it is planted and that extension's
+			// caches rebuilt from its parent's, as ExtendedWith does).
+			const inheritedNaN, newNaN = 4, 5
+			ts.base[2*m+inheritedNaN] = math.NaN()
+			if warm {
+				ts.NormBase()
+				ts.BaseRanges()
+			}
+			step := ts
+			for k, chunk := range [][]*table.Partition{rest[0:2], rest[2:4], rest[4:6]} {
+				next, err := step.ExtendedWith(nil, chunk, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next.normBase == nil || next.baseLo == nil {
+					t.Fatalf("extension %d returned without its caches built", k)
+				}
+				if k == 1 {
+					next.base[len(step.Parts)*m+newNaN] = math.NaN()
+					next.extendCaches(step, len(step.Parts))
+				}
+				step = next
+				nb, lo, hi, ok := rebuiltCaches(step)
+				gotLo, gotHi, gotOK := step.BaseRanges()
+				if !sameBits(step.NormBase(), nb) {
+					t.Fatalf("extension %d: NormBase differs from a from-scratch build", k)
+				}
+				if !sameBits(gotLo, lo) || !sameBits(gotHi, hi) || !reflect.DeepEqual(gotOK, ok) {
+					t.Fatalf("extension %d: BaseRanges differ from a from-scratch build", k)
+				}
+				if gotOK[inheritedNaN] {
+					t.Fatalf("extension %d: slot %d holds an inherited NaN but its range is ok", k, inheritedNaN)
+				}
+				if k >= 1 && gotOK[newNaN] {
+					t.Fatalf("extension %d: slot %d holds a new row's NaN but its range is ok", k, newNaN)
+				}
+				if k == 0 && !gotOK[newNaN] {
+					t.Fatalf("extension %d: slot %d has no NaN yet but its range is unknown", k, newNaN)
+				}
+			}
+		})
 	}
 }

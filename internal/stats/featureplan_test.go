@@ -87,8 +87,9 @@ func TestSelProgramMatchesReference(t *testing.T) {
 }
 
 // TestFeaturePlanMatchesFeatures: FillRow must reproduce the reference
-// Features matrix bit for bit, across queries that mask different column
-// subsets.
+// Features matrix bit for bit on the live slots, across queries that mask
+// different column subsets, and every slot it leaves out must be zero in
+// the reference.
 func TestFeaturePlanMatchesFeatures(t *testing.T) {
 	tbl := buildTestTable(t, 6, 40)
 	ts := buildStats(t, tbl)
@@ -111,21 +112,38 @@ func TestFeaturePlanMatchesFeatures(t *testing.T) {
 			Pred:    pred,
 		})
 	}
+	narrowed := 0
 	for qi, q := range queries {
 		want := ts.Features(q)
 		plan := ts.NewFeaturePlan(q)
-		if plan.NumParts() != len(want) || plan.Dim() != ts.Space.Dim() {
-			t.Fatalf("query %d: plan shape %dx%d, want %dx%d", qi, plan.NumParts(), plan.Dim(), len(want), ts.Space.Dim())
+		if plan.NumParts() != len(want) || len(plan.SlotCols()) != ts.Space.Dim() {
+			t.Fatalf("query %d: plan shape %dx%d, want %dx%d", qi, plan.NumParts(), len(plan.SlotCols()), len(want), ts.Space.Dim())
 		}
-		dst := make([]float64, plan.Dim())
+		live, col := plan.LiveSlots(), plan.SlotCols()
+		if plan.Width() < len(col) {
+			narrowed++
+		}
+		for c, j := range live {
+			if col[j] != int32(c) || (c < 4 && j != int32(c)) {
+				t.Fatalf("query %d: column %d holds slot %d but SlotCols maps it to %d", qi, c, j, col[j])
+			}
+		}
+		dst := make([]float64, plan.Width())
 		for i := range want {
 			plan.FillRow(dst, i)
-			for j := range dst {
-				if dst[j] != want[i][j] {
-					t.Fatalf("query %d partition %d slot %d: plan %v != Features %v", qi, i, j, dst[j], want[i][j])
+			for j := range want[i] {
+				if col[j] < 0 {
+					if want[i][j] != 0 {
+						t.Fatalf("query %d partition %d: dropped slot %d is %v in Features", qi, i, j, want[i][j])
+					}
+				} else if got := dst[col[j]]; got != want[i][j] {
+					t.Fatalf("query %d partition %d slot %d: plan %v != Features %v", qi, i, j, got, want[i][j])
 				}
 			}
 		}
+	}
+	if narrowed == 0 {
+		t.Fatal("no query dropped a masked slot from its rows")
 	}
 }
 
@@ -144,7 +162,7 @@ func TestFillRowZeroAllocs(t *testing.T) {
 		),
 	}
 	plan := ts.NewFeaturePlan(q)
-	dst := make([]float64, plan.Dim())
+	dst := make([]float64, plan.Width())
 	part := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		plan.FillRow(dst, part)
@@ -166,7 +184,7 @@ func TestFeaturePlanConcurrentFill(t *testing.T) {
 	}
 	want := ts.Features(q)
 	plan := ts.NewFeaturePlan(q)
-	m := plan.Dim()
+	m := plan.Width()
 	got := make([]float64, plan.NumParts()*m)
 	done := make(chan int, plan.NumParts())
 	for i := 0; i < plan.NumParts(); i++ {
@@ -179,9 +197,9 @@ func TestFeaturePlanConcurrentFill(t *testing.T) {
 		<-done
 	}
 	for i := range want {
-		for j := range want[i] {
-			if got[i*m+j] != want[i][j] {
-				t.Fatalf("partition %d slot %d: concurrent fill %v != %v", i, j, got[i*m+j], want[i][j])
+		for c, j := range plan.LiveSlots() {
+			if got[i*m+c] != want[i][j] {
+				t.Fatalf("partition %d slot %d: concurrent fill %v != %v", i, j, got[i*m+c], want[i][j])
 			}
 		}
 	}
@@ -213,8 +231,8 @@ func BenchmarkFeaturize(b *testing.B) {
 	b.Run("plan", func(b *testing.B) {
 		b.ReportAllocs()
 		plan := ts.NewFeaturePlan(q)
-		scratch := make([]float64, plan.NumParts()*plan.Dim())
-		m := plan.Dim()
+		scratch := make([]float64, plan.NumParts()*plan.Width())
+		m := plan.Width()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for part := 0; part < plan.NumParts(); part++ {

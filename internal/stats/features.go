@@ -273,21 +273,27 @@ func (ts *TableStats) Features(q *query.Query) [][]float64 {
 
 // FeaturePlan is the query-compiled featurizer: the query-static work of
 // Features — column-mask resolution and predicate analysis (selprogram.go)
-// — done once, leaving FillRow with only the partition-varying work: one
-// base-row copy, a masked-slot sweep, and the four selectivity estimates.
-// FillRow performs zero allocations and produces rows bit-identical to
-// Features(q), so callers can featurize into reusable scratch matrices. A
-// plan is immutable after construction and safe for concurrent FillRow calls
-// from multiple workers.
+// — done once, leaving FillRow with only the partition-varying work: the
+// four selectivity estimates and a gather of the live base features.
+//
+// A plan fills compact rows of Width() = L columns instead of the full M
+// feature slots: column c holds feature slot LiveSlots()[c], which is the
+// four selectivity slots (columns 0–3, so the selectivity slots keep their
+// indexes) followed by every slot of a column the query uses, ascending.
+// The slots it leaves out are the ones Features zeroes for the query, so a
+// compact row is Features(q)[part] with its known-zero slots dropped:
+// row[c] == Features(q)[part][LiveSlots()[c]] bit for bit, and
+// Features(q)[part][j] == 0 for every j with SlotCols()[j] < 0. FillRow
+// performs zero allocations, so callers can featurize into reusable
+// scratch matrices. A plan is immutable after construction and safe for
+// concurrent FillRow calls from multiple workers.
 type FeaturePlan struct {
 	ts *TableStats
-	// maskSlots lists the feature slots zeroed because their column is not
-	// used by the query; keepSlots the complement (minus the selectivity
-	// slots, which are always overwritten). FillRow uses whichever set is
-	// smaller.
-	maskSlots []int32
-	keepSlots []int32
-	prog      *selProgram
+	// live[c] is the feature slot of compact column c; col is its inverse
+	// over all M slots, -1 for the masked slots.
+	live []int32
+	col  []int32
+	prog *selProgram
 }
 
 // NewFeaturePlan compiles q's featurization against the store.
@@ -298,47 +304,47 @@ func (ts *TableStats) NewFeaturePlan(q *query.Query) *FeaturePlan {
 			used[ci] = true
 		}
 	}
-	p := &FeaturePlan{ts: ts, prog: ts.compileSel(q.Pred)}
+	p := &FeaturePlan{ts: ts, col: make([]int32, ts.Space.Dim()), prog: ts.compileSel(q.Pred)}
 	for j, meta := range ts.Space.Meta {
 		if meta.Col >= 0 && !used[meta.Col] {
-			p.maskSlots = append(p.maskSlots, int32(j))
-		} else if j >= 4 {
-			p.keepSlots = append(p.keepSlots, int32(j))
+			p.col[j] = -1
+			continue
 		}
+		p.col[j] = int32(len(p.live))
+		p.live = append(p.live, int32(j))
 	}
 	return p
 }
 
-// Dim returns the feature dimension M.
-func (p *FeaturePlan) Dim() int { return p.ts.Space.Dim() }
+// Width returns L, the number of columns FillRow writes.
+func (p *FeaturePlan) Width() int { return len(p.live) }
 
-// MaskSlots returns the feature slots this plan zeroes (features of columns
-// the query does not use); every filled row holds exactly zero there. The
+// LiveSlots returns the feature slot of each compact column, ascending. The
 // slice aliases plan state; callers must not mutate it.
-func (p *FeaturePlan) MaskSlots() []int32 { return p.maskSlots }
+func (p *FeaturePlan) LiveSlots() []int32 { return p.live }
+
+// SlotCols returns the slot→column map over all M feature slots (its
+// length is M): the
+// compact column holding slot j, or -1 when the query masks slot j (its
+// value is exactly zero in every row). The slice aliases plan state;
+// callers must not mutate it.
+func (p *FeaturePlan) SlotCols() []int32 { return p.col }
 
 // NumParts returns the partition count N.
 func (p *FeaturePlan) NumParts() int { return len(p.ts.Parts) }
 
-// FillRow writes partition part's feature vector into dst (which must have
-// length ≥ Dim()); the result is bit-identical to Features(q)[part].
+// FillRow writes partition part's compact feature row into dst (which must
+// have length ≥ Width()); dst[c] is bit-identical to
+// Features(q)[part][LiveSlots()[c]].
 func (p *FeaturePlan) FillRow(dst []float64, part int) {
 	m := p.ts.Space.Dim()
 	base := p.ts.base[part*m : (part+1)*m]
-	if len(p.keepSlots) < len(p.maskSlots) {
-		// Mostly-masked query: clear the row and copy only the kept slots.
-		clear(dst[:m])
-		for _, j := range p.keepSlots {
-			dst[j] = base[j]
-		}
-	} else {
-		copy(dst[:m], base)
-		for _, j := range p.maskSlots {
-			dst[j] = 0
-		}
-	}
 	upper, indep, minS, maxS := p.prog.estimate(p.ts.Parts[part])
 	dst[0], dst[1], dst[2], dst[3] = upper, indep, minS, maxS
+	dst = dst[4:len(p.live)]
+	for c, j := range p.live[4:] {
+		dst[c] = base[j]
+	}
 }
 
 // Fit computes normalization divisors from a training feature sample

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -93,12 +94,14 @@ type TableStats struct {
 	// base is the precomputed query-independent feature matrix, stored
 	// row-major (partition i's features at [i*M, (i+1)*M)); selectivity
 	// slots are zero and filled per query. Built once at Build/ReadStats
-	// time, it is the query-static half of featurization: Features and
-	// FeaturePlan.FillRow only copy it and fill the query-dependent slots.
+	// time, it is the query-static half of featurization: Features copies
+	// it, FeaturePlan.FillRow gathers its live slots, and both fill the
+	// query-dependent slots.
 	base []float64
 
-	// normMu guards the lazily built caches below (normalized base matrix,
-	// per-slot base ranges).
+	// normMu guards the caches below (normalized base matrix, per-slot base
+	// ranges), built lazily by Build/ReadStats results and eagerly by
+	// ExtendedWith. A built cache slice is never mutated in place.
 	normMu sync.Mutex
 	// normBase is base with the fitted normalization applied elementwise —
 	// the query-independent part of FeatureSpace.Normalize, cached so
@@ -120,36 +123,51 @@ type TableStats struct {
 // slices alias a lazily built cache; callers must not mutate them. Safe for
 // concurrent use.
 func (ts *TableStats) BaseRanges() (lo, hi []float64, ok []bool) {
-	m := ts.Space.Dim()
 	ts.normMu.Lock()
 	if ts.baseLo == nil {
-		ts.baseLo = make([]float64, m)
-		ts.baseHi = make([]float64, m)
-		ts.baseRangeOK = make([]bool, m)
-		for j := 0; j < m; j++ {
-			ts.baseLo[j] = math.Inf(1)
-			ts.baseHi[j] = math.Inf(-1)
-			ts.baseRangeOK[j] = len(ts.Parts) > 0
-		}
-		for p := 0; p < len(ts.Parts); p++ {
-			row := ts.base[p*m : (p+1)*m]
-			for j, x := range row {
-				if math.IsNaN(x) {
-					ts.baseRangeOK[j] = false
-					continue
-				}
-				if x < ts.baseLo[j] {
-					ts.baseLo[j] = x
-				}
-				if x > ts.baseHi[j] {
-					ts.baseHi[j] = x
-				}
-			}
-		}
+		ts.buildRanges()
 	}
 	lo, hi, ok = ts.baseLo, ts.baseHi, ts.baseRangeOK
 	ts.normMu.Unlock()
 	return lo, hi, ok
+}
+
+// buildRanges computes the per-slot ranges from scratch. The caller holds
+// normMu or owns an unpublished ts.
+func (ts *TableStats) buildRanges() {
+	m := ts.Space.Dim()
+	ts.baseLo = make([]float64, m)
+	ts.baseHi = make([]float64, m)
+	ts.baseRangeOK = make([]bool, m)
+	for j := 0; j < m; j++ {
+		ts.baseLo[j] = math.Inf(1)
+		ts.baseHi[j] = math.Inf(-1)
+		ts.baseRangeOK[j] = len(ts.Parts) > 0
+	}
+	ts.mergeRanges(0)
+}
+
+// mergeRanges folds the base rows of partitions from, from+1, … into the
+// per-slot ranges, in partition order (so an extension that merges only its
+// new rows reproduces a from-scratch build bit for bit, signed zeros
+// included).
+func (ts *TableStats) mergeRanges(from int) {
+	m := ts.Space.Dim()
+	for p := from; p < len(ts.Parts); p++ {
+		row := ts.base[p*m : (p+1)*m]
+		for j, x := range row {
+			if math.IsNaN(x) {
+				ts.baseRangeOK[j] = false
+				continue
+			}
+			if x < ts.baseLo[j] {
+				ts.baseLo[j] = x
+			}
+			if x > ts.baseHi[j] {
+				ts.baseHi[j] = x
+			}
+		}
+	}
 }
 
 // NormBase returns the normalized query-independent feature matrix,
@@ -159,23 +177,63 @@ func (ts *TableStats) BaseRanges() (lo, hi []float64, ok []bool) {
 // must be recomputed by callers from per-query values. The returned slice
 // aliases the cache; callers must not mutate it. Safe for concurrent use.
 func (ts *TableStats) NormBase() []float64 {
-	m := ts.Space.Dim()
 	ts.normMu.Lock()
 	if ts.normBase == nil || !sameScale(ts.normBaseScale, ts.Space.Scale) {
-		nb := make([]float64, len(ts.base))
-		for p := 0; p < len(ts.Parts); p++ {
-			row := ts.base[p*m : (p+1)*m]
-			out := nb[p*m : (p+1)*m]
-			for j, x := range row {
-				out[j] = ts.Space.NormalizeValue(j, x)
-			}
-		}
-		ts.normBase = nb
+		ts.normBase = make([]float64, len(ts.base))
 		ts.normBaseScale = ts.Space.Scale
+		ts.normalizeRows(0)
 	}
 	nb := ts.normBase
 	ts.normMu.Unlock()
 	return nb
+}
+
+// normalizeRows fills the normalized-base rows of partitions from, from+1,
+// … from their base rows. The caller holds normMu or owns an unpublished
+// ts.
+func (ts *TableStats) normalizeRows(from int) {
+	m := ts.Space.Dim()
+	for p := from; p < len(ts.Parts); p++ {
+		row := ts.base[p*m : (p+1)*m]
+		out := ts.normBase[p*m : (p+1)*m]
+		for j, x := range row {
+			out[j] = ts.Space.NormalizeValue(j, x)
+		}
+	}
+}
+
+// extendCaches builds the normalized base and per-slot ranges of out, an
+// unpublished extension of parent whose first old partitions are parent's,
+// eagerly. It carries parent's caches forward when parent has built them
+// (under the scale out uses) and then normalizes and range-merges only the
+// new rows; otherwise it builds out's caches from scratch. parent's caches
+// are only read: once built they are never mutated in place.
+func (out *TableStats) extendCaches(parent *TableStats, old int) {
+	parent.normMu.Lock()
+	pnb, pscale := parent.normBase, parent.normBaseScale
+	plo, phi, pok := parent.baseLo, parent.baseHi, parent.baseRangeOK
+	parent.normMu.Unlock()
+
+	m := out.Space.Dim()
+	from := old
+	if pnb == nil || !sameScale(pscale, out.Space.Scale) {
+		from = 0
+	}
+	out.normBase = make([]float64, len(out.base))
+	out.normBaseScale = out.Space.Scale
+	copy(out.normBase[:from*m], pnb)
+	out.normalizeRows(from)
+
+	if plo == nil || old == 0 {
+		// An empty parent's ranges say "unknown" (ok false) for every slot,
+		// which merging non-empty rows must not inherit.
+		out.buildRanges()
+		return
+	}
+	out.baseLo = slices.Clone(plo)
+	out.baseHi = slices.Clone(phi)
+	out.baseRangeOK = slices.Clone(pok)
+	out.mergeRanges(old)
 }
 
 // sameScale reports whether two scale slices are the same fitted scale
